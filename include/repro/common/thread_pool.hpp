@@ -90,4 +90,13 @@ class ThreadPool {
   bool stopping_ REPRO_GUARDED_BY(sleep_mutex_) = false;
 };
 
+/// Run body(i) for every i in [0, n) under the `threads` convention of
+/// the option structs: 1 runs the indices in order on the caller and
+/// creates no pool; any other value runs them on a ThreadPool of that
+/// many workers (0 = one per hardware thread) built for this call. A
+/// body that writes only result slot i gives output independent of
+/// `threads`. The first exception thrown by a body propagates.
+void for_each_index(std::size_t threads, std::size_t n,
+                    const std::function<void(std::size_t)>& body);
+
 }  // namespace repro::common

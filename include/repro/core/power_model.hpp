@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,6 +41,10 @@ struct PowerTrainerOptions {
   Seconds run_per_microbench = 0.24; // per (component, level) cell
   Seconds run_idle = 0.9;
   std::uint64_t seed = 0xb01dULL;
+  /// Threads running the training runs: 0 = one per hardware thread,
+  /// 1 = serially on the calling thread (no pool). Run j is seeded
+  /// seed + j, so the training set is byte-identical for every value.
+  std::size_t threads = 0;
 };
 
 class PowerModel {

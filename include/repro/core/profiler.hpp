@@ -14,10 +14,14 @@
 // performance model) plus the profiling vector PF (for the combined
 // power estimator). Profiling is O(A) runs per process — this is the
 // linear-vs-exponential win the paper claims over exhaustive
-// co-simulation.
+// co-simulation. The runs are independent simulations with their own
+// seeds, so they run in parallel (ProfilerOptions::threads) and the
+// profile does not depend on the thread count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +69,11 @@ struct ProfilerOptions {
   /// first core sharing its die's cache.
   CoreId target_core = 0;
   std::uint64_t seed = 0x9f01ULL;
+  /// Threads running the sweep's independent simulator runs: 0 = one
+  /// per hardware thread, 1 = serially on the calling thread (no
+  /// pool). Every run has its own seed, so profiles are byte-identical
+  /// for every value.
+  std::size_t threads = 0;
 };
 
 class StressmarkProfiler {
@@ -76,11 +85,29 @@ class StressmarkProfiler {
   /// Profile one workload (O(A) simulator runs).
   ProcessProfile profile(const workload::WorkloadSpec& spec) const;
 
-  /// Profile a list of workloads.
+  /// Profile a list of workloads; all of their runs share one fan-out.
   std::vector<ProcessProfile> profile_all(
       const std::vector<workload::WorkloadSpec>& specs) const;
 
  private:
+  /// One simulator run of the sweep. Index w = 0 is the stand-alone run
+  /// (S = A, plus the PF vector and P_alone); w = 1..A−1 co-runs the
+  /// stressmark at occupancy W = w.
+  struct SweepPoint {
+    double s = 0.0;
+    Mpa mpa = 0.0;
+    Spi spi = 0.0;
+    hpc::PerInstructionRates alone;
+    Watts power = 0.0;
+  };
+
+  /// Run sweep index `w` on its own System, seeded options.seed + w.
+  SweepPoint sweep_run(const workload::WorkloadSpec& spec,
+                       std::uint32_t w) const;
+  /// Fit the profile from the A sweep points, in sweep-index order.
+  ProcessProfile assemble(const workload::WorkloadSpec& spec,
+                          std::span<const SweepPoint> points) const;
+
   sim::MachineConfig machine_;
   power::OracleConfig oracle_;
   ProfilerOptions options_;

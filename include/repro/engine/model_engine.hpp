@@ -17,18 +17,21 @@
 // composition, independent of thread count — candidates are pure
 // functions of the registered profiles.
 //
-// Concurrency model (ISSUE 6): engine state is published as immutable
+// Concurrency model: engine state is published as immutable
 // RCU-style *epoch snapshots*. snapshot() hands back a
 // shared_ptr<const EngineSnapshot> holding one consistent (profiles,
 // memoized artifacts, power model) triple; predict()/predict_batch()
 // resolve a snapshot once and run entirely against it, so the read
-// path is wait-free — it never touches a lock, and a revision landing
-// mid-batch cannot tear or stall it. Writers (register_process,
-// try_apply, collect_garbage) serialize on a builder mutex, assemble
-// the next snapshot off to the side, and publish it with a single
-// atomic pointer swap. Validation happens before any builder state is
-// touched: a rejected revision publishes nothing and the last-good
-// snapshot stays current.
+// path never takes the builder mutex, and a revision landing mid-batch
+// cannot tear it or hold it for the length of a rebuild. It is not
+// wait-free: std::atomic<std::shared_ptr> is not lock-free on
+// libstdc++ (its load takes a short internal spin lock), so concurrent
+// snapshot() calls contend with each other and with the publish.
+// Writers (register_process, try_apply, collect_garbage) serialize on
+// a builder mutex, assemble the next snapshot off to the side, and
+// publish it with a single atomic pointer swap. Validation happens
+// before any builder state is touched: a rejected revision publishes
+// nothing and the last-good snapshot stays current.
 //
 // Contention semantics: one CPU-share-weighted equilibrium per die over
 // all of the die's processes (a time-shared process's lines stay
@@ -313,8 +316,8 @@ class ModelEngine {
   /// longer monitored by any pipeline or referenced by a live query.
   /// Snapshots taken before the collection keep their entries alive
   /// until released. The predicate runs under the builder lock; it may
-  /// read the engine's snapshot accessors (they are lock-free) but
-  /// must not mutate the engine.
+  /// read the engine's snapshot accessors (they never take the builder
+  /// mutex) but must not mutate the engine.
   std::size_t collect_garbage(
       const std::function<bool(ProcessHandle)>& keep);
 
@@ -332,9 +335,11 @@ class ModelEngine {
                std::optional<core::PowerModel> power,
                std::uint64_t power_revision, std::uint64_t epoch);
 
-  /// The current published snapshot — wait-free, never null. Hold it
-  /// to pin one consistent (profiles, artifacts, power model) triple
-  /// across any number of concurrent revisions.
+  /// The current published snapshot, never null. Never takes the
+  /// builder mutex: it is one atomic<shared_ptr> load, which libstdc++
+  /// implements with a short internal spin lock. Hold it to pin one
+  /// consistent (profiles, artifacts, power model) triple across any
+  /// number of concurrent revisions.
   std::shared_ptr<const EngineSnapshot> snapshot() const;
 
   /// Handle of a registered process, if any.

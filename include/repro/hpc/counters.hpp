@@ -28,7 +28,17 @@ struct Counters {
   double branches = 0.0;  // branch instructions retired
   double fp_ops = 0.0;    // floating point instructions retired
 
-  Counters& operator+=(const Counters& o);
+  // Inline: the simulator adds counters twice per simulated access.
+  Counters& operator+=(const Counters& o) {
+    instructions += o.instructions;
+    cycles += o.cycles;
+    l1_refs += o.l1_refs;
+    l2_refs += o.l2_refs;
+    l2_misses += o.l2_misses;
+    branches += o.branches;
+    fp_ops += o.fp_ops;
+    return *this;
+  }
   friend Counters operator+(Counters a, const Counters& b) { return a += b; }
   friend Counters operator-(const Counters& a, const Counters& b);
 

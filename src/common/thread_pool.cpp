@@ -163,4 +163,14 @@ void ThreadPool::parallel_for(std::size_t n,
   if (state->error) std::rethrow_exception(state->error);
 }
 
+void for_each_index(std::size_t threads, std::size_t n,
+                    const std::function<void(std::size_t)>& body) {
+  if (threads == 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  ThreadPool pool(threads);
+  pool.parallel_for(n, body);
+}
+
 }  // namespace repro::common

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "repro/common/ensure.hpp"
+#include "repro/common/thread_pool.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
 #include "repro/workload/microbench.hpp"
@@ -11,25 +12,32 @@ namespace repro::core {
 
 namespace {
 
-/// Append every sample of a run as (total rates across cores, measured
-/// power) to the training set under construction.
-void append_samples(const sim::RunResult& run, std::vector<double>* rows,
-                    std::vector<double>* power) {
+/// One training run's samples: (total rates across cores, measured
+/// power), kept apart until every run is done.
+struct RunSamples {
+  std::vector<std::array<double, 5>> rows;
+  std::vector<double> power;
+};
+
+RunSamples samples_of(const sim::RunResult& run) {
+  RunSamples out;
+  out.rows.reserve(run.samples.size());
+  out.power.reserve(run.samples.size());
   for (const sim::Sample& s : run.samples) {
     hpc::EventRates total;
     for (const hpc::EventRates& r : s.core_rates) total += r;
-    const std::array<double, 5> reg = total.regressors();
-    rows->insert(rows->end(), reg.begin(), reg.end());
-    power->push_back(s.measured_power);
+    out.rows.push_back(total.regressors());
+    out.power.push_back(s.measured_power);
   }
+  return out;
 }
 
 /// Run N instances of one workload (one per core) and harvest samples.
-void harvest_workload(const sim::MachineConfig& machine,
-                      const power::OracleConfig& oracle,
-                      const workload::WorkloadSpec& spec, Seconds warmup,
-                      Seconds measure, std::uint64_t seed,
-                      std::vector<double>* rows, std::vector<double>* power) {
+RunSamples harvest_workload(const sim::MachineConfig& machine,
+                            const power::OracleConfig& oracle,
+                            const workload::WorkloadSpec& spec,
+                            Seconds warmup, Seconds measure,
+                            std::uint64_t seed) {
   sim::SystemConfig cfg;
   cfg.machine = machine;
   sim::System system(cfg, oracle, seed);
@@ -38,7 +46,7 @@ void harvest_workload(const sim::MachineConfig& machine,
                        std::make_unique<workload::StackDistanceGenerator>(
                            spec, machine.l2.sets));
   system.warm_up(warmup);
-  append_samples(system.run(measure), rows, power);
+  return samples_of(system.run(measure));
 }
 
 }  // namespace
@@ -64,36 +72,46 @@ PowerTrainingSet PowerModel::collect(
     const std::vector<std::string>& training_workloads,
     const PowerTrainerOptions& options) {
   machine.validate();
-  std::vector<double> rows;
-  std::vector<double> power;
-  std::uint64_t seed = options.seed;
-
-  // Idle phase (the micro-benchmark's phase 0).
-  {
-    sim::SystemConfig cfg;
-    cfg.machine = machine;
-    sim::System system(cfg, oracle, seed++);
-    append_samples(system.run(options.run_idle), &rows, &power);
-  }
-
-  // SPEC-like training workloads, N instances each.
+  // Runs in list order: idle (the micro-benchmark's phase 0), the
+  // SPEC-like training workloads (N instances each), then the
+  // micro-benchmark phases 1–5 at 8 levels each. Run j is seeded
+  // options.seed + j and owns its own System, so the runs fan out and
+  // their rows are appended in list order whatever the thread count.
+  const std::vector<workload::WorkloadSpec> cells =
+      workload::microbench_all_phases();
+  std::vector<const workload::WorkloadSpec*> specs;
+  specs.reserve(training_workloads.size() + cells.size());
   for (const std::string& name : training_workloads)
-    harvest_workload(machine, oracle, workload::find_spec(name),
-                     options.warmup, options.run_per_workload, seed++, &rows,
-                     &power);
+    specs.push_back(&workload::find_spec(name));
+  for (const workload::WorkloadSpec& cell : cells) specs.push_back(&cell);
+  const std::size_t workloads = training_workloads.size();
 
-  // Micro-benchmark phases 1–5 at 8 levels each.
-  for (const workload::WorkloadSpec& cell : workload::microbench_all_phases())
-    harvest_workload(machine, oracle, cell, options.warmup,
-                     options.run_per_microbench, seed++, &rows, &power);
+  std::vector<RunSamples> runs(1 + specs.size());
+  common::for_each_index(options.threads, runs.size(), [&](std::size_t j) {
+    const std::uint64_t seed = options.seed + j;
+    if (j == 0) {
+      sim::SystemConfig cfg;
+      cfg.machine = machine;
+      sim::System system(cfg, oracle, seed);
+      runs[j] = samples_of(system.run(options.run_idle));
+      return;
+    }
+    const Seconds measure = j <= workloads ? options.run_per_workload
+                                           : options.run_per_microbench;
+    runs[j] = harvest_workload(machine, oracle, *specs[j - 1],
+                               options.warmup, measure, seed);
+  });
 
   PowerTrainingSet set;
-  const std::size_t n = power.size();
-  set.regressors = math::Matrix(n, 5);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < 5; ++c)
-      set.regressors(r, c) = rows[r * 5 + c];
-  set.power = std::move(power);
+  for (const RunSamples& run : runs)
+    set.power.insert(set.power.end(), run.power.begin(), run.power.end());
+  set.regressors = math::Matrix(set.power.size(), 5);
+  std::size_t r = 0;
+  for (const RunSamples& run : runs)
+    for (const std::array<double, 5>& reg : run.rows) {
+      for (std::size_t c = 0; c < 5; ++c) set.regressors(r, c) = reg[c];
+      ++r;
+    }
   return set;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "repro/common/ensure.hpp"
+#include "repro/common/thread_pool.hpp"
 #include "repro/math/stats.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
@@ -25,35 +26,35 @@ StressmarkProfiler::StressmarkProfiler(const sim::MachineConfig& machine,
                "bad profiling durations");
 }
 
-ProcessProfile StressmarkProfiler::profile(
-    const workload::WorkloadSpec& spec) const {
-  spec.validate();
+StressmarkProfiler::SweepPoint StressmarkProfiler::sweep_run(
+    const workload::WorkloadSpec& spec, std::uint32_t w) const {
   const std::uint32_t a = machine_.l2.ways;
   const std::uint32_t sets = machine_.l2.sets;
-
-  ProcessProfile profile;
-  profile.name = spec.name;
-  profile.mpa_at_ways.assign(a, 0.0);
-  profile.spi_at_ways.assign(a, 0.0);
-
-  // --- Stand-alone run: PF vector, P_alone, and the S = A point. ---
-  {
-    sim::SystemConfig cfg;
-    cfg.machine = machine_;
-    sim::System system(cfg, oracle_, options_.seed);
-    system.add_process(spec.name, options_.target_core, spec.mix,
-                       std::make_unique<workload::StackDistanceGenerator>(
-                           spec, sets));
-    system.warm_up(options_.warmup);
-    const sim::RunResult run = system.run(options_.measure);
-    const sim::ProcessReport& report = run.process(0);
-    profile.alone = report.per_instruction();
-    profile.power_alone = run.mean_measured_power();
-    profile.mpa_at_ways[a - 1] = report.mpa();
-    profile.spi_at_ways[a - 1] = report.spi();
+  sim::SystemConfig cfg;
+  cfg.machine = machine_;
+  sim::System system(cfg, oracle_, options_.seed + w);
+  const ProcessId target = system.add_process(
+      spec.name, options_.target_core, spec.mix,
+      std::make_unique<workload::StackDistanceGenerator>(spec, sets));
+  ProcessId stress_pid = 0;
+  if (w > 0) {
+    const workload::WorkloadSpec stress = workload::make_stressmark_spec(w);
+    stress_pid = system.add_process(stress.name, stress_core_, stress.mix,
+                                    workload::make_stressmark(w, sets));
   }
+  system.warm_up(options_.warmup);
+  const sim::RunResult run = system.run(options_.measure);
+  const sim::ProcessReport& report = run.process(target);
 
-  // --- Stressmark sweep: W = 1..A−1 pins S ≈ A − W. ---
+  SweepPoint point;
+  point.mpa = report.mpa();
+  point.spi = report.spi();
+  if (w == 0) {
+    point.s = static_cast<double>(a);
+    point.alone = report.per_instruction();
+    point.power = run.mean_measured_power();
+    return point;
+  }
   // A finite-speed stressmark does not hold exactly W ways against an
   // aggressive co-runner: the target evicts some of its lines between
   // revisits. The paper handles this by "tuning S_stress to control
@@ -63,29 +64,36 @@ ProcessProfile StressmarkProfiler::profile(
   // (its measured MPA), the line was absent for on average half the
   // revisit interval, so its true occupancy is ≈ W·(1 − p/2) ways and
   // the target's effective size is A minus that.
-  std::vector<double> s_points{static_cast<double>(a)};
-  std::vector<double> mpa_points{profile.mpa_at_ways[a - 1]};
-  std::vector<double> spi_points{profile.spi_at_ways[a - 1]};
-  for (std::uint32_t w = 1; w < a; ++w) {
-    sim::SystemConfig cfg;
-    cfg.machine = machine_;
-    sim::System system(cfg, oracle_, options_.seed + w);
-    const ProcessId target = system.add_process(
-        spec.name, options_.target_core, spec.mix,
-        std::make_unique<workload::StackDistanceGenerator>(spec, sets));
-    const workload::WorkloadSpec stress = workload::make_stressmark_spec(w);
-    const ProcessId stress_pid = system.add_process(
-        stress.name, stress_core_, stress.mix,
-        workload::make_stressmark(w, sets));
-    system.warm_up(options_.warmup);
-    const sim::RunResult run = system.run(options_.measure);
-    const sim::ProcessReport& report = run.process(target);
-    const double stress_mpa = run.process(stress_pid).mpa();
-    const double stress_ways =
-        static_cast<double>(w) * (1.0 - 0.5 * stress_mpa);
-    s_points.push_back(static_cast<double>(a) - stress_ways);
-    mpa_points.push_back(report.mpa());
-    spi_points.push_back(report.spi());
+  const double stress_mpa = run.process(stress_pid).mpa();
+  const double stress_ways =
+      static_cast<double>(w) * (1.0 - 0.5 * stress_mpa);
+  point.s = static_cast<double>(a) - stress_ways;
+  return point;
+}
+
+ProcessProfile StressmarkProfiler::profile(
+    const workload::WorkloadSpec& spec) const {
+  return profile_all({spec}).front();
+}
+
+ProcessProfile StressmarkProfiler::assemble(
+    const workload::WorkloadSpec& spec,
+    std::span<const SweepPoint> points) const {
+  const std::uint32_t a = machine_.l2.ways;
+  ProcessProfile profile;
+  profile.name = spec.name;
+  profile.alone = points[0].alone;
+  profile.power_alone = points[0].power;
+  profile.spi_at_ways.assign(a, 0.0);
+
+  std::vector<double> s_points, mpa_points, spi_points;
+  s_points.reserve(a);
+  mpa_points.reserve(a);
+  spi_points.reserve(a);
+  for (const SweepPoint& p : points) {
+    s_points.push_back(p.s);
+    mpa_points.push_back(p.mpa);
+    spi_points.push_back(p.spi);
   }
 
   // Resample the (S, MPA) cloud onto the integer grid 1..A.
@@ -126,10 +134,19 @@ ProcessProfile StressmarkProfiler::profile(
 
 std::vector<ProcessProfile> StressmarkProfiler::profile_all(
     const std::vector<workload::WorkloadSpec>& specs) const {
+  for (const workload::WorkloadSpec& spec : specs) spec.validate();
+  const std::uint32_t a = machine_.l2.ways;
+  // Every spec's A runs go into one fan-out, so a short list still
+  // fills the pool; run t is spec t / A at sweep index t % A.
+  std::vector<SweepPoint> points(specs.size() * a);
+  common::for_each_index(options_.threads, points.size(), [&](std::size_t t) {
+    points[t] = sweep_run(specs[t / a], static_cast<std::uint32_t>(t % a));
+  });
   std::vector<ProcessProfile> out;
   out.reserve(specs.size());
-  for (const workload::WorkloadSpec& spec : specs)
-    out.push_back(profile(spec));
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    out.push_back(
+        assemble(specs[i], std::span(points).subspan(i * a, a)));
   return out;
 }
 

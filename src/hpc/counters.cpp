@@ -2,17 +2,6 @@
 
 namespace repro::hpc {
 
-Counters& Counters::operator+=(const Counters& o) {
-  instructions += o.instructions;
-  cycles += o.cycles;
-  l1_refs += o.l1_refs;
-  l2_refs += o.l2_refs;
-  l2_misses += o.l2_misses;
-  branches += o.branches;
-  fp_ops += o.fp_ops;
-  return *this;
-}
-
 Counters operator-(const Counters& a, const Counters& b) {
   Counters d;
   d.instructions = a.instructions - b.instructions;

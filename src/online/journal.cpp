@@ -1,6 +1,8 @@
 #include "repro/online/journal.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -205,41 +207,57 @@ bool JournalWriter::sync() {
 
 JournalRecovery scan_journal(const std::string& path) {
   JournalRecovery out;
-  std::optional<std::string> text;
-  try {
-    text = common::read_file(path);
-  } catch (const Error& e) {
-    out.found = true;
-    out.error = e.what();
-    return out;
-  }
-  if (!text.has_value()) return out;  // no file: nothing to recover
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return out;  // no file: nothing to recover
   out.found = true;
-  const std::string_view bytes = *text;
+  // An I/O error (not corrupt content) voids the whole scan.
+  const auto io_error = [&path] {
+    JournalRecovery failed;
+    failed.found = true;
+    failed.error = "read " + path + " failed";
+    return failed;
+  };
+  // The file is read one frame at a time through `buffer`, so a scan
+  // holds the decoded records and one payload, never the whole file.
+  // Torn-frame byte counts come from the size measured up front.
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(0);
+  if (!in || end < 0) return io_error();
+  const std::uint64_t size = static_cast<std::uint64_t>(end);
+  std::string buffer;
+  const auto read_into_buffer = [&](std::size_t n) {
+    buffer.resize(n);
+    return static_cast<bool>(
+        in.read(buffer.data(), static_cast<std::streamsize>(n)));
+  };
 
-  if (bytes.size() < kJournalHeader.size() ||
-      bytes.substr(0, kJournalHeader.size()) != kJournalHeader) {
+  const std::size_t header_bytes = std::min<std::uint64_t>(
+      size, kJournalHeader.size());
+  if (!read_into_buffer(header_bytes)) return io_error();
+  if (buffer != kJournalHeader) {
     // A broken header poisons the whole file — frame boundaries can't
     // be trusted without it.
     out.error = "journal header: not a repro-journal v1 file";
-    out.dropped_bytes = bytes.size();
+    out.dropped_bytes = size;
     out.truncated_frames = out.dropped_bytes > 0 ? 1 : 0;
     return out;
   }
 
-  std::size_t pos = kJournalHeader.size();
+  std::uint64_t pos = kJournalHeader.size();
   out.valid_bytes = pos;
   std::size_t frame = 0;
   std::string why;
-  while (pos < bytes.size()) {
+  while (pos < size) {
     ++frame;
-    const std::size_t remain = bytes.size() - pos;
+    const std::uint64_t remain = size - pos;
     if (remain < 8) {
       why = "torn frame header (" + std::to_string(remain) + " of 8 bytes)";
       break;
     }
-    const std::uint32_t length = read_u32le(bytes, pos);
-    const std::uint32_t stored_crc = read_u32le(bytes, pos + 4);
+    if (!read_into_buffer(8)) return io_error();
+    const std::uint32_t length = read_u32le(buffer, 0);
+    const std::uint32_t stored_crc = read_u32le(buffer, 4);
     if (length == 0 || length > kMaxFramePayload) {
       why = "implausible frame length " + std::to_string(length);
       break;
@@ -249,7 +267,8 @@ JournalRecovery scan_journal(const std::string& path) {
             std::to_string(length) + " bytes)";
       break;
     }
-    const std::string_view payload = bytes.substr(pos + 8, length);
+    if (!read_into_buffer(length)) return io_error();
+    const std::string_view payload = buffer;
     const std::uint32_t computed = common::crc32c(payload);
     if (computed != stored_crc) {
       std::ostringstream mismatch;
@@ -272,7 +291,7 @@ JournalRecovery scan_journal(const std::string& path) {
   }
   if (!why.empty())
     out.error = "journal frame " + std::to_string(frame) + ": " + why;
-  out.dropped_bytes = bytes.size() - out.valid_bytes;
+  out.dropped_bytes = size - out.valid_bytes;
   out.truncated_frames = out.dropped_bytes > 0 ? 1 : 0;
   return out;
 }

@@ -55,6 +55,13 @@ sim::MemoryAccess StackDistanceGenerator::reuse_access(std::uint32_t set,
   std::uint32_t pos = head + depth - 1;
   if (pos >= stack_cap_) pos -= stack_cap_;
   const std::uint64_t line = ring[pos];
+  if (depth == stack_cap_) {
+    // Full ring, reused line at the tail (every stressmark access):
+    // the slot before the head already holds it, so moving it to the
+    // front is one head decrement.
+    head_[set] = static_cast<std::uint16_t>(pos);
+    return sim::MemoryAccess{set, line, sim::kNoStreamAddr};
+  }
   // Move to front: walk back from the reused slot, shifting the
   // depth−1 younger entries down by one.
   std::uint32_t dst = pos;

@@ -150,5 +150,49 @@ TEST(PowerModel, RejectsBadConstruction) {
   EXPECT_THROW(PowerModel(10.0, {}, 0), Error);
 }
 
+// Every training run owns a System seeded options.seed + j and its
+// rows land in list order, so the training set does not depend on the
+// thread count. Shortened runs keep the test to a few seconds.
+PowerTrainerOptions shortened(std::size_t threads) {
+  PowerTrainerOptions o;
+  o.warmup = 0.005;
+  o.run_per_workload = 0.06;
+  o.run_per_microbench = 0.03;
+  o.run_idle = 0.06;
+  o.threads = threads;
+  return o;
+}
+
+PowerTrainingSet collect_workstation(const PowerTrainerOptions& options) {
+  return PowerModel::collect(sim::two_core_workstation(),
+                             power::oracle_for_two_core_workstation(),
+                             {"gzip", "mcf"}, options);
+}
+
+TEST(PowerModelThreads, CollectIsByteIdenticalAcrossThreadCounts) {
+  const PowerTrainingSet serial = collect_workstation(shortened(1));
+  ASSERT_GT(serial.power.size(), 40u);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
+    const PowerTrainingSet pooled = collect_workstation(shortened(threads));
+    EXPECT_EQ(pooled.power, serial.power) << "threads = " << threads;
+    ASSERT_EQ(pooled.regressors.rows(), serial.regressors.rows());
+    ASSERT_EQ(pooled.regressors.cols(), serial.regressors.cols());
+    for (std::size_t r = 0; r < serial.regressors.rows(); ++r)
+      for (std::size_t c = 0; c < serial.regressors.cols(); ++c)
+        ASSERT_EQ(pooled.regressors(r, c), serial.regressors(r, c))
+            << "threads = " << threads << ", row " << r << ", col " << c;
+  }
+}
+
+TEST(PowerModelThreads, FailingRunSurfacesAsError) {
+  // A negative warm-up is refused by the System inside each workload
+  // run, after the fan-out has started.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    PowerTrainerOptions o = shortened(threads);
+    o.warmup = -1.0;
+    EXPECT_THROW(collect_workstation(o), Error) << "threads = " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace repro::core

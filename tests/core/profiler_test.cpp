@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "repro/core/analytic.hpp"
+#include "repro/core/serialize.hpp"
 #include "repro/workload/spec.hpp"
 
 namespace repro::core {
@@ -91,6 +92,74 @@ TEST(ProfilerConfig, RejectsMachinesWithoutCacheSharing) {
   EXPECT_THROW(StressmarkProfiler(lonely,
                                   power::oracle_for_two_core_workstation()),
                Error);
+}
+
+// The sweep's runs are independent Systems with their own seeds, so
+// the thread count may change how fast a profile comes out, never its
+// bytes. Shortened runs keep each test to a few seconds.
+class ProfilerThreads : public ::testing::Test {
+ protected:
+  static ProfilerOptions shortened(std::size_t threads) {
+    ProfilerOptions o;
+    o.warmup = 0.005;
+    o.measure = 0.01;
+    o.threads = threads;
+    return o;
+  }
+
+  static StressmarkProfiler profiler(const ProfilerOptions& options) {
+    return StressmarkProfiler(sim::two_core_workstation(),
+                              power::oracle_for_two_core_workstation(),
+                              options);
+  }
+
+  static std::string store_text(std::vector<ProcessProfile> profiles) {
+    ModelStore store;
+    store.profiles = std::move(profiles);
+    return write_store_text(store);
+  }
+};
+
+TEST_F(ProfilerThreads, ProfileIsByteIdenticalAcrossThreadCounts) {
+  const workload::WorkloadSpec& spec = workload::find_spec("vpr");
+  const std::string serial =
+      store_text({profiler(shortened(1)).profile(spec)});
+  for (std::size_t threads : {std::size_t{2}, std::size_t{0}})
+    EXPECT_EQ(store_text({profiler(shortened(threads)).profile(spec)}),
+              serial)
+        << "threads = " << threads;
+}
+
+TEST_F(ProfilerThreads, ProfileAllIsByteIdenticalAcrossThreadCounts) {
+  const std::vector<workload::WorkloadSpec> specs{
+      workload::find_spec("gzip"), workload::find_spec("mcf")};
+  const std::string serial =
+      store_text(profiler(shortened(1)).profile_all(specs));
+  for (std::size_t threads : {std::size_t{2}, std::size_t{0}})
+    EXPECT_EQ(store_text(profiler(shortened(threads)).profile_all(specs)),
+              serial)
+        << "threads = " << threads;
+  // One fan-out over every spec's runs gives what per-spec calls give.
+  std::vector<ProcessProfile> one_by_one;
+  one_by_one.reserve(specs.size());
+  for (const workload::WorkloadSpec& spec : specs)
+    one_by_one.push_back(profiler(shortened(1)).profile(spec));
+  EXPECT_EQ(store_text(std::move(one_by_one)), serial);
+}
+
+TEST_F(ProfilerThreads, FailingRunSurfacesAsError) {
+  // A measurement window shorter than the simulator's time resolution
+  // records no sample, so the stand-alone run throws inside the pool.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ProfilerOptions o = shortened(threads);
+    o.measure = 1e-13;
+    EXPECT_THROW(profiler(o).profile(workload::find_spec("gzip")), Error)
+        << "threads = " << threads;
+    EXPECT_THROW(profiler(o).profile_all({workload::find_spec("gzip"),
+                                          workload::find_spec("mcf")}),
+                 Error)
+        << "threads = " << threads;
+  }
 }
 
 }  // namespace
