@@ -6,12 +6,15 @@
 // runtime HPC values), and the estimate is compared with the
 // simulator-measured average power. Scenario mix as in the paper:
 // 32 assignments with 1 process/core, 10 with 2 processes/core, and
-// 16/16/9 with four processes packed onto 3/2/1 cores.
+// 16/16/9 with four processes packed onto 3/2/1 cores. The die-wide
+// column prices the same assignments with ModelEngine::predict.
 #include <iostream>
 
 #include "harness.hpp"
+#include "repro/common/ensure.hpp"
 #include "repro/common/table.hpp"
 #include "repro/core/combined.hpp"
+#include "repro/engine/model_engine.hpp"
 
 namespace repro::bench {
 namespace {
@@ -23,12 +26,14 @@ struct ScenarioResult {
 
 void evaluate(const Platform& platform,
               const core::CombinedEstimator& paper_mode,
-              const core::CombinedEstimator& die_wide_mode,
+              const engine::ModelEngine& die_wide_mode,
               const std::vector<core::ProcessProfile>& profiles,
               const core::Assignment& a, std::uint64_t seed,
               ScenarioResult* paper_result, ScenarioResult* die_wide_result) {
   const Watts est_paper = paper_mode.estimate(profiles, a);
-  const Watts est_die_wide = die_wide_mode.estimate(profiles, a);
+  engine::CoScheduleQuery query;
+  query.assignment = a;  // handle == profile index
+  const Watts est_die_wide = die_wide_mode.predict(query).total_power;
   const sim::RunResult run =
       simulate_assignment(platform, a, profiles, 0.05, 0.24, seed);
   paper_result->avg_err.add(est_paper, run.mean_measured_power());
@@ -43,9 +48,14 @@ int run() {
       get_profiles(platform, suite8());
   const core::PowerModel model = get_power_model(platform);
   const core::CombinedEstimator estimator(model, platform.machine);
-  const core::CombinedEstimator die_wide(
-      model, platform.machine, core::EquilibriumOptions{},
-      core::EstimatorMode::kDieWideEquilibrium);
+  engine::EngineOptions engine_options;
+  engine_options.threads = 1;
+  engine::ModelEngine die_wide(platform.machine, model, engine_options);
+  // Registered in order, so each handle equals its profile index.
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const engine::ProcessHandle h = die_wide.register_process(profiles[i]);
+    REPRO_ENSURE(h == i, "suite profiles need distinct names");
+  }
   const std::uint32_t n_cores = platform.machine.cores;
 
   struct Scenario {

@@ -13,7 +13,9 @@
 // Eq. 11 assembles the processor total. CombinedEstimator implements
 // both the pure profile-driven estimate (validated in Table 4) and
 // the incremental Fig. 1 form that reuses current per-core powers for
-// combinations unaffected by the new process.
+// combinations unaffected by the new process. The die-wide variant —
+// one share-weighted equilibrium over all of a die's processes, so
+// time-shared processes contend too — is ModelEngine::predict.
 #pragma once
 
 #include <cstdint>
@@ -46,31 +48,19 @@ struct Assignment {
 /// §5 decomposition of one process's dynamic (above-idle) core power at
 /// a predicted operating point: P1 covers the contention-invariant
 /// per-instruction events, P2 the L2 misses, both scaled by 1/SPI.
-/// Shared by CombinedEstimator and the ModelEngine facade so the two
-/// paths stay bit-identical.
+/// Shared by CombinedEstimator and ModelEngine so both price a process
+/// at an operating point the same way.
 Watts process_dynamic_power(const PowerModel& model,
                             const hpc::PerInstructionRates& pf, Spi spi,
                             Mpa l2mpr);
 
-/// How the estimator prices cache contention for an assignment.
-enum class EstimatorMode {
-  /// The paper's §5 algorithm: enumerate process combinations (one per
-  /// busy core) and average (Eq. 10/11). Processes that only
-  /// time-share a core never contend in the model.
-  kPaper,
-  /// Extension: one share-weighted equilibrium per die over *all* its
-  /// processes. A time-shared process's lines stay resident between
-  /// slices, so same-core processes do contend for cache; this mode
-  /// captures that (important when per-process working sets are large
-  /// relative to the cache — see EXPERIMENTS.md on Table 4).
-  kDieWideEquilibrium,
-};
-
+/// The paper's §5 algorithm: enumerate process combinations (one per
+/// busy core) and average (Eq. 10/11). Processes that only time-share
+/// a core never contend in the model.
 class CombinedEstimator {
  public:
   CombinedEstimator(PowerModel model, sim::MachineConfig machine,
-                    EquilibriumOptions equilibrium = {},
-                    EstimatorMode mode = EstimatorMode::kPaper);
+                    EquilibriumOptions equilibrium = {});
 
   /// Pure §5 estimate of mean processor power for `assignment`, using
   /// only profiling information (Table 4's validation mode).
@@ -123,12 +113,6 @@ class CombinedEstimator {
   ComboEstimate die_estimate(std::span<const ProcessProfile> profiles,
                              const Assignment& assignment, DieId die) const;
 
-  /// kDieWideEquilibrium: one CPU-share-weighted equilibrium over all
-  /// of the die's processes.
-  ComboEstimate die_estimate_die_wide(
-      std::span<const ProcessProfile> profiles, const Assignment& assignment,
-      DieId die) const;
-
   /// One combination (one process per busy core), with SPI/L2MPR from
   /// the equilibrium solver.
   ComboEstimate combination_estimate(
@@ -137,7 +121,6 @@ class CombinedEstimator {
   PowerModel model_;
   sim::MachineConfig machine_;
   EquilibriumSolver solver_;
-  EstimatorMode mode_;
 };
 
 }  // namespace repro::core

@@ -1,4 +1,4 @@
-// ShardedPipeline — the sharded on-line pipeline (ISSUE 7).
+// ShardedPipeline — the on-line pipeline, sharded by die.
 //
 //   die-tagged windows ──► [RingSet fan-in ──► shard worker]  × S
 //                                      │  per-die sanitize/stream/build
@@ -11,13 +11,16 @@
 //                                      ▼
 //             ModelEngine::try_apply → re-solve → unified event log
 //
-// The monolithic OnlinePipeline ran sanitizer, builders, engine
-// mutation, and re-solve under one mutex — one window at a time, no
-// matter how many dies fed it. ShardedPipeline splits the *streaming*
-// half across per-die shards that run concurrently, and keeps the
-// *model* half exactly where it was: one coordinator owning the one
-// serialized path into ModelEngine::try_apply and the one globally
-// ordered event log.
+// Wire `sink()` as System::run's sample callback and the model tracks
+// the running workload: every confirmed phase change or periodic refit
+// flows through as a profile revision, invalidates exactly that
+// process's memoized artifacts, and re-prices the current co-schedule
+// from the previous equilibrium instead of from scratch.
+//
+// The *streaming* half (sanitizer, stream, builders) runs in per-die
+// shards that work concurrently; the *model* half stays serial: one
+// coordinator owns the one path into ModelEngine::try_apply and the
+// one globally ordered event log.
 //
 // Determinism: each shard hands the coordinator WindowBatches in its
 // dies' ingest order; the coordinator buffers them keyed on
@@ -36,10 +39,10 @@
 // while holding mutex_ (monitor/finish/quarantined talk to shards
 // unlocked), so the order is acyclic. ring_mutex (parking) stays leaf.
 //
-// With shards = producers = 1 the whole construction degenerates to
-// the old pipeline: one lane, one shard, immediate delivery — and the
-// output (events, revisions, health counters) is bit-identical, which
-// is what lets OnlinePipeline be a thin facade over this class.
+// With shards = producers = 1 (the defaults) this is the single-stream
+// pipeline: one lane, one shard, and the merge releases every window
+// the moment it is delivered, because a lone lane's frontier is its
+// own newest seq.
 #pragma once
 
 #include <atomic>
@@ -156,7 +159,7 @@ struct ShardedPipelineOptions {
   std::size_t shards = 1;
   /// Producer lanes: how many distinct Sample::die tags feed push().
   /// 1 (the default) ignores the tag entirely — every window routes to
-  /// lane 0, the single-stream mode bit-identical to OnlinePipeline.
+  /// lane 0, the single-stream mode.
   std::size_t producers = 1;
 
   /// Per-process builder configuration; `ways` is filled in from the
@@ -173,7 +176,11 @@ struct ShardedPipelineOptions {
   /// events() ring capacity — the oldest PipelineEvent is evicted
   /// beyond it (snapshot() counters stay monotonic). 0 = unbounded.
   std::size_t history_capacity = 4096;
-  /// On-line power refits (ISSUE 5); see OnlinePipelineOptions::power.
+  /// On-line power refits. When enabled AND the engine was built with
+  /// a power model, every sanitized ground-truth window also feeds a
+  /// PowerRefitter; accepted candidates install through
+  /// ModelEngine::try_apply. Disabled (the default), the engine's power
+  /// model is never touched.
   /// In multi-lane mode the coordinator re-assembles the machine-wide
   /// window from a complete all-forwarded slice group before feeding
   /// the refitter (power is measured at the package, not per die).
@@ -182,16 +189,16 @@ struct ShardedPipelineOptions {
   /// Phase-coincidence coalescing (ISSUE 7 satellite): when several
   /// same-seq lanes revise in one merge group, apply every revision
   /// but re-solve once, on the last. Off (the default) every applied
-  /// revision re-solves — the OnlinePipeline-parity behavior.
+  /// revision re-solves.
   bool coalesce_resolves = false;
   /// Quarantined windows retained per shard for forensics
   /// (`cmpmodel watch --dump-bad`); 0 disables retention.
   std::size_t quarantine_capacity = 32;
 
-  /// true: push() ingests synchronously on the caller's thread —
-  /// deterministic replay, and with producers = 1 bit-identical to the
-  /// inline OnlinePipeline. false: push() enqueues on the producer
-  /// lane's SPSC ring and the owning shard's worker thread ingests.
+  /// true: push() ingests synchronously on the caller's thread — the
+  /// right choice for deterministic replay. false: push() enqueues on
+  /// the producer lane's SPSC ring and the owning shard's worker thread
+  /// ingests; the event log is the same either way.
   bool inline_ingest = true;
   /// Per-lane ring capacity in windows (rounded up to a power of two)
   /// when inline_ingest is false.
@@ -204,8 +211,7 @@ struct ShardedPipelineOptions {
   SupervisorOptions supervisor{};
 };
 
-/// The coordinator's monotonic counters (the old OnlinePipeline::Stats
-/// plus the coalescing counter).
+/// The coordinator's monotonic counters.
 struct PipelineStats {
   std::uint64_t windows = 0;            // sample windows ingested (raw)
   std::uint64_t revisions = 0;          // profile revisions applied
@@ -221,8 +227,8 @@ struct PipelineStats {
   PipelineHealth health;                // fault-path counters
 };
 
-/// One consistent, locked copy of everything an observer needs; see
-/// OnlinePipeline::snapshot() — same contract, same tear-freedom.
+/// One consistent copy of everything an observer needs, taken under
+/// the coordinator lock.
 struct PipelineSnapshot {
   PipelineStats stats;
   /// Aggregated verdict counters across every per-die sanitizer;
@@ -278,8 +284,8 @@ class ShardedPipeline : private BatchSink {
   /// history_capacity entries (older events evicted).
   std::deque<PipelineEvent> events() const;
 
-  /// Events with seq >= `since`; see OnlinePipeline::events_since —
-  /// same cursor contract, one seq space across both event kinds.
+  /// Events with seq >= `since` — the eviction-proof incremental
+  /// cursor for live watchers, one seq space across both event kinds.
   std::vector<PipelineEvent> events_since(EventCursor since) const;
 
   PipelineSnapshot snapshot() const;
@@ -417,8 +423,8 @@ class ShardedPipeline : private BatchSink {
   std::deque<PipelineEvent> events_ REPRO_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ REPRO_GUARDED_BY(mutex_) = 0;
 
-  /// Watermark merge state (producers > 1 only): batches buffered on
-  /// (window seq, lane) and the newest seq each lane has delivered.
+  /// Watermark merge state: batches buffered on (window seq, lane) and
+  /// the newest seq each lane has delivered.
   /// Frontier = min over lanes; groups with seq <= frontier release.
   std::map<std::pair<std::uint64_t, DieId>, WindowBatch> pending_
       REPRO_GUARDED_BY(mutex_);

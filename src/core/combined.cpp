@@ -22,12 +22,10 @@ void Assignment::validate(std::uint32_t cores,
 
 CombinedEstimator::CombinedEstimator(PowerModel model,
                                      sim::MachineConfig machine,
-                                     EquilibriumOptions equilibrium,
-                                     EstimatorMode mode)
+                                     EquilibriumOptions equilibrium)
     : model_(std::move(model)),
       machine_(std::move(machine)),
-      solver_(machine_.l2.ways, equilibrium),
-      mode_(mode) {
+      solver_(machine_.l2.ways, equilibrium) {
   machine_.validate();
   REPRO_ENSURE(model_.cores() == machine_.cores,
                "power model trained for a different core count");
@@ -110,47 +108,6 @@ Watts CombinedEstimator::estimate(std::span<const ProcessProfile> profiles,
   return estimate_detailed(profiles, assignment).power;
 }
 
-CombinedEstimator::ComboEstimate CombinedEstimator::die_estimate_die_wide(
-    std::span<const ProcessProfile> profiles, const Assignment& assignment,
-    DieId die) const {
-  // All processes of the die contend at once; a process on a core with
-  // q runnable processes fills the cache with CPU share 1/q.
-  std::vector<FeatureVector> features;
-  std::vector<double> shares;
-  for (CoreId c : machine_.cores_on_die(die)) {
-    const std::size_t q = assignment.per_core[c].size();
-    for (std::size_t idx : assignment.per_core[c]) {
-      features.push_back(profiles[idx].features);
-      shares.push_back(1.0 / static_cast<double>(q));
-    }
-  }
-  if (features.empty()) return {};
-
-  SolveOptions solve_options;
-  solve_options.cpu_share = std::move(shares);
-  const std::vector<ProcessPrediction> eq =
-      solver_.solve(features, solve_options);
-
-  ComboEstimate out;
-  std::size_t cursor = 0;
-  for (CoreId c : machine_.cores_on_die(die)) {
-    const std::size_t q = assignment.per_core[c].size();
-    if (q == 0) continue;
-    // Core power/throughput: time average over the run queue.
-    double dyn = 0.0;
-    double ips = 0.0;
-    for (std::size_t slot = 0; slot < q; ++slot, ++cursor) {
-      const std::size_t idx = assignment.per_core[c][slot];
-      dyn += process_dynamic_power(profiles[idx], eq[cursor].spi,
-                                   eq[cursor].mpa);
-      ips += 1.0 / eq[cursor].spi;
-    }
-    out.dynamic += dyn / static_cast<double>(q);
-    out.ips += ips / static_cast<double>(q);
-  }
-  return out;
-}
-
 CombinedEstimator::Detailed CombinedEstimator::estimate_detailed(
     std::span<const ProcessProfile> profiles,
     const Assignment& assignment) const {
@@ -158,10 +115,7 @@ CombinedEstimator::Detailed CombinedEstimator::estimate_detailed(
   Detailed out;
   out.power = model_.idle_total();
   for (DieId d = 0; d < machine_.dies; ++d) {
-    const ComboEstimate die =
-        mode_ == EstimatorMode::kPaper
-            ? die_estimate(profiles, assignment, d)
-            : die_estimate_die_wide(profiles, assignment, d);
+    const ComboEstimate die = die_estimate(profiles, assignment, d);
     out.power += die.dynamic;
     out.throughput_ips += die.ips;
   }
@@ -239,15 +193,9 @@ Watts CombinedEstimator::estimate_after_assign(
   // P_ex: current dynamic power of the die's busy cores (measured via
   // the model from live rates), idle-core terms handled below.
   double p_ex = 0.0;
-  std::uint32_t busy = 0;
-  for (CoreId c : die_cores) {
-    if (current.per_core[c].empty() && c != target_core) continue;
-    if (!current.per_core[c].empty()) {
+  for (CoreId c : die_cores)
+    if (!current.per_core[c].empty())
       p_ex += current_core_power[c] - model_.idle_core();
-      ++busy;
-    }
-  }
-  (void)busy;
 
   // Eq. 11 assembled in dynamic-power space: the die contributes the
   // combination-weighted average; idle power enters once for the

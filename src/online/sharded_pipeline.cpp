@@ -531,15 +531,6 @@ void ShardedPipeline::deliver(WindowBatch batch) {
   phase_changes_ += batch.phase_changes;
   frequency_steps_ += batch.frequency_steps;
 
-  if (options_.producers <= 1) {
-    // Single-lane mode: no merge, every window processes immediately —
-    // the OnlinePipeline-parity path.
-    std::vector<WindowBatch> group;
-    group.push_back(std::move(batch));
-    process_group_locked(std::move(group));
-    return;
-  }
-
   const DieId lane = batch.die;
   if (delivered_[lane].has_value() && batch.seq <= *delivered_[lane]) {
     // Late or duplicate seq (fault-injected streams): the watermark
@@ -693,7 +684,6 @@ bool ShardedPipeline::solve_query_locked(RevisionEvent& event) {
     event.degraded = true;
     if (latest_.has_value()) {
       engine::SystemPrediction carried = *latest_;
-      carried.degraded = true;
       carried.solver_iterations = 0;
       event.resolved = true;
       event.prediction = carried;
@@ -723,19 +713,14 @@ std::vector<double> ShardedPipeline::warm_seeds_locked() const {
 void ShardedPipeline::refit_group_locked(
     const std::vector<WindowBatch>& group) {
   if (!refitter_.has_value()) return;
-  if (options_.producers <= 1) {
-    for (const WindowBatch& batch : group)
-      if (batch.window.has_value()) refit_power_locked(*batch.window);
-    return;
-  }
-  // Multi-lane: power is measured at the package, so the refitter
-  // needs the machine-wide window back. Re-assemble it only from a
-  // complete group in which every lane's slice survived sanitization —
-  // a partial sum would misattribute the package power to a subset of
-  // the activity. Slices partition the per-core/per-process arrays
-  // exactly (System::split_sample), so summing reconstructs the
-  // original; the package-level power readings ride on every slice and
-  // are taken from the first.
+  // Power is measured at the package, so the refitter needs the
+  // machine-wide window back. Re-assemble it only from a complete group
+  // in which every lane's slice survived sanitization — a partial sum
+  // would misattribute the package power to a subset of the activity.
+  // Slices partition the per-core/per-process arrays exactly
+  // (System::split_sample), so summing reconstructs the original; the
+  // package-level power readings ride on every slice and are taken
+  // from the first. With one lane the group is the window itself.
   if (group.size() != options_.producers) return;
   for (const WindowBatch& batch : group)
     if (!batch.window.has_value()) return;

@@ -7,6 +7,7 @@
 #include "repro/core/assignment.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
+#include "workstation_training.hpp"
 
 namespace repro::core {
 namespace {
@@ -23,16 +24,8 @@ struct CombinedWorld {
     for (const char* name : {"gzip", "mcf", "vpr", "equake"})
       profiles.push_back(profiler.profile(workload::find_spec(name)));
 
-    PowerTrainerOptions opt;
-    opt.warmup = 0.02;
-    opt.run_per_workload = 0.24;
-    opt.run_per_microbench = 0.09;
-    opt.run_idle = 0.3;
-    PowerModel model = PowerModel::train(machine, oracle,
-                                         {"gzip", "mcf", "art", "equake"},
-                                         opt);
-    estimator = std::make_unique<CombinedEstimator>(std::move(model),
-                                                    machine);
+    estimator = std::make_unique<CombinedEstimator>(
+        workstation_power_model(), machine);
   }
 
   static const CombinedWorld& instance() {

@@ -7,25 +7,10 @@
 #include "repro/math/stats.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
+#include "workstation_training.hpp"
 
 namespace repro::core {
 namespace {
-
-PowerTrainerOptions fast_options() {
-  PowerTrainerOptions o;
-  o.warmup = 0.02;
-  o.run_per_workload = 0.24;
-  o.run_per_microbench = 0.09;
-  o.run_idle = 0.3;
-  return o;
-}
-
-const PowerModel& workstation_model() {
-  static const PowerModel model = PowerModel::train(
-      sim::two_core_workstation(), power::oracle_for_two_core_workstation(),
-      {"gzip", "mcf", "art", "equake"}, fast_options());
-  return model;
-}
 
 TEST(PowerModelFit, RecoversSyntheticLinearModel) {
   // Direct Eq. 9 sanity on constructed data.
@@ -52,16 +37,16 @@ TEST(PowerModelFit, RecoversSyntheticLinearModel) {
 TEST(PowerModelTraining, IdleInterceptNearOracleIdle) {
   // The intercept absorbs part of the oracle's hidden IPS term, so it
   // sits a watt or two above the true idle — like a real fitted model.
-  EXPECT_NEAR(workstation_model().idle_total(), 26.0, 2.5);
+  EXPECT_NEAR(workstation_power_model().idle_total(), 26.0, 2.5);
 }
 
 TEST(PowerModelTraining, L2MissCoefficientIsNegative) {
   // §4.2: "c3 is negative" — stalled cores burn less power.
-  EXPECT_LT(workstation_model().coefficients()[2], 0.0);
+  EXPECT_LT(workstation_power_model().coefficients()[2], 0.0);
 }
 
 TEST(PowerModelTraining, ActivityCoefficientsArePositive) {
-  const auto& c = workstation_model().coefficients();
+  const auto& c = workstation_power_model().coefficients();
   EXPECT_GT(c[0], 0.0);  // L1RPS
   EXPECT_GT(c[3], 0.0);  // BRPS
   EXPECT_GT(c[4], 0.0);  // FPPS
@@ -70,9 +55,7 @@ TEST(PowerModelTraining, ActivityCoefficientsArePositive) {
 TEST(PowerModelTraining, TrainingAccuracyInPaperBand) {
   // The paper reports 96.2% training accuracy for MVLR; our substrate
   // should land in the same >90% band.
-  const PowerTrainingSet data = PowerModel::collect(
-      sim::two_core_workstation(), power::oracle_for_two_core_workstation(),
-      {"gzip", "mcf", "art", "equake"}, fast_options());
+  const PowerTrainingSet& data = workstation_training_set();
   const math::Mvlr::Fit fit = math::Mvlr::fit(data.regressors, data.power);
   EXPECT_GT(fit.accuracy, 90.0);
   EXPECT_GT(data.power.size(), 50u);
@@ -96,7 +79,7 @@ TEST(PowerModelValidation, PredictsUnseenMixedAssignment) {
 
   std::vector<double> est, meas;
   for (const sim::Sample& s : run.samples) {
-    est.push_back(workstation_model().predict(s.core_rates));
+    est.push_back(workstation_power_model().predict(s.core_rates));
     meas.push_back(s.measured_power);
   }
   EXPECT_LT(math::mean_abs_pct_error(est, meas), 8.0);
@@ -116,7 +99,7 @@ TEST(PowerModelValidation, TracksIdleCores) {
   const sim::RunResult run = system.run(0.3);
   std::vector<double> est, meas;
   for (const sim::Sample& s : run.samples) {
-    est.push_back(workstation_model().predict(s.core_rates));
+    est.push_back(workstation_power_model().predict(s.core_rates));
     meas.push_back(s.measured_power);
   }
   EXPECT_LT(math::mean_abs_pct_error(est, meas), 8.0);

@@ -1,9 +1,11 @@
 // Tests for the CPU-share-weighted equilibrium (time-sharing-aware
-// contention) and the die-wide estimator mode.
+// contention) and the die-wide §5 pricing built on it
+// (ModelEngine::predict), against the paper's combination averaging.
 #include <gtest/gtest.h>
 
 #include "repro/core/combined.hpp"
 #include "repro/core/perf_model.hpp"
+#include "repro/engine/model_engine.hpp"
 #include "repro/sim/machine.hpp"
 
 namespace repro::core {
@@ -152,7 +154,7 @@ TEST(WarmStart, BisectionAcceptsSeedsAndStats) {
   EXPECT_THROW(solver.solve(procs, bad), Error);
 }
 
-// --- Die-wide estimator mode. ------------------------------------------
+// --- Die-wide pricing (ModelEngine) vs the paper's estimator. ---------
 
 ProcessProfile profile_of(const FeatureVector& f) {
   ProcessProfile p;
@@ -172,46 +174,64 @@ PowerModel model() {
   return PowerModel(45.0, {6.0e-9, 2.2e-8, -1.0e-7, 4.5e-9, 5.5e-9}, 4);
 }
 
+/// The die-wide pricer: one share-weighted equilibrium per die.
+engine::ModelEngine die_wide() {
+  engine::EngineOptions options;
+  options.threads = 1;
+  return engine::ModelEngine(sim::four_core_server(), model(), options);
+}
+
+/// Price `a` die-wide. Profiles register in order, so each handle is
+/// its index in `profiles` and `a` serves both pricers unchanged.
+engine::SystemPrediction die_wide_predict(
+    const std::vector<ProcessProfile>& profiles, const Assignment& a) {
+  engine::ModelEngine wide = die_wide();
+  for (const ProcessProfile& p : profiles) wide.register_process(p);
+  engine::CoScheduleQuery q;
+  q.assignment = a;
+  return wide.predict(q);
+}
+
 TEST(DieWideMode, MatchesPaperModeWhenNoTimeSharing) {
-  // One process per core: both modes solve the same equilibrium.
+  // One process per core: both pricers solve the same equilibrium.
   const CombinedEstimator paper(model(), sim::four_core_server());
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
   const std::vector<ProcessProfile> profiles{profile_of(worker()),
                                              profile_of(sprinter())};
   Assignment a = Assignment::empty(4);
   a.per_core[0].push_back(0);
   a.per_core[1].push_back(1);
-  EXPECT_NEAR(paper.estimate(profiles, a), wide.estimate(profiles, a),
-              0.02);
+  EXPECT_NEAR(paper.estimate(profiles, a),
+              die_wide_predict(profiles, a).total_power, 0.02);
 }
 
 TEST(DieWideMode, TimeSharedHogsPredictHigherMissRatesThanPaperMode) {
-  // Four cache-hungry processes on ONE core: the paper mode prices
-  // each at the full-cache point; the die-wide mode splits the cache
-  // four ways, predicting slower, lower-powered execution.
+  // Four cache-hungry processes on ONE core: the paper's estimator
+  // prices each at the full-cache point; the die-wide pricer splits the
+  // cache four ways, predicting slower, lower-powered execution.
   const CombinedEstimator paper(model(), sim::four_core_server());
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
   std::vector<ProcessProfile> profiles;
   for (int i = 0; i < 4; ++i) profiles.push_back(profile_of(worker()));
   Assignment a = Assignment::empty(4);
   for (std::size_t p = 0; p < 4; ++p) a.per_core[0].push_back(p);
 
+  // The engine keys its registry by name, and all four profiles are
+  // "worker": register it once and time-share its handle four ways.
+  engine::ModelEngine wide = die_wide();
+  const engine::ProcessHandle h = wide.register_process(profiles[0]);
+  engine::CoScheduleQuery q;
+  q.assignment = Assignment::empty(4);
+  for (int i = 0; i < 4; ++i) q.assignment.per_core[0].push_back(h);
+
   const auto d_paper = paper.estimate_detailed(profiles, a);
-  const auto d_wide = wide.estimate_detailed(profiles, a);
+  const engine::SystemPrediction d_wide = wide.predict(q);
   EXPECT_LT(d_wide.throughput_ips, d_paper.throughput_ips);
-  EXPECT_LT(d_wide.power, d_paper.power);
+  EXPECT_LT(d_wide.total_power, d_paper.power);
 }
 
 TEST(DieWideMode, IdleMachineUnchanged) {
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
   const std::vector<ProcessProfile> profiles{profile_of(worker())};
-  EXPECT_DOUBLE_EQ(wide.estimate(profiles, Assignment::empty(4)), 45.0);
+  EXPECT_DOUBLE_EQ(
+      die_wide_predict(profiles, Assignment::empty(4)).total_power, 45.0);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "repro/core/power_model.hpp"
 #include "repro/engine/checkpoint.hpp"
 #include "repro/engine/model_engine.hpp"
-#include "repro/online/pipeline.hpp"
 #include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/machine.hpp"
 
@@ -529,20 +528,21 @@ TEST(Journal, PowerRecordReplayVerifiesRevisionCounter) {
       << diverged.replay_error;
 }
 
-// The single-stream facade forwards DurabilityOptions verbatim and
-// surfaces recovery() — an OnlinePipeline restart recovers the exact
-// state the previous run left behind, checkpoint plus journal tail.
-TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
+// A default (single-lane) pipeline restart recovers the exact state the
+// previous run left behind, checkpoint plus journal tail, and surfaces
+// what it replayed through recovery().
+TEST(Journal, SingleLaneRestartRecoversCheckpointPlusTail) {
   const sim::MachineConfig machine = sim::four_core_server();
-  const std::string journal = ::testing::TempDir() + "/journal_facade.wal";
+  const std::string journal =
+      ::testing::TempDir() + "/journal_single_lane.wal";
   const std::string checkpoint =
-      ::testing::TempDir() + "/checkpoint_facade.txt";
+      ::testing::TempDir() + "/checkpoint_single_lane.txt";
 
   std::string live_state;
   std::uint64_t journaled = 0;
   {
     engine::ModelEngine engine = fresh_engine(machine);
-    OnlinePipelineOptions o;
+    ShardedPipelineOptions o;
     o.builder.refit_interval = 4;
     o.builder.min_fit_windows = 3;
     o.durability.journal_path = journal;
@@ -550,8 +550,8 @@ TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
     o.durability.checkpoint_every = 3;
     o.durability.journal.fsync = JournalFsync::kOff;
     o.durability.recover = false;  // fresh journal for the reference
-    OnlinePipeline pipe(engine, o);
-    pipe.monitor(0, std::string("proc0"));
+    ShardedPipeline pipe(engine, o);
+    pipe.monitor(0, /*die=*/0, std::string("proc0"));
     for (std::uint64_t seq = 0; seq < 40; ++seq)
       pipe.push(make_window(seq, machine.cores));
     pipe.finish();
@@ -562,11 +562,11 @@ TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
   }
 
   engine::ModelEngine engine = fresh_engine(machine);
-  OnlinePipelineOptions o;
+  ShardedPipelineOptions o;
   o.durability.journal_path = journal;
   o.durability.checkpoint_path = checkpoint;
   o.durability.journal.fsync = JournalFsync::kOff;
-  OnlinePipeline pipe(engine, o);  // recover defaults to on
+  ShardedPipeline pipe(engine, o);  // recover defaults to on
   const RecoveryReport& report = pipe.recovery();
   EXPECT_TRUE(report.checkpoint_found) << report.checkpoint_error;
   EXPECT_TRUE(report.replay_error.empty()) << report.replay_error;

@@ -114,7 +114,6 @@
 #include "repro/engine/checkpoint.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/math/stats.hpp"
-#include "repro/online/pipeline.hpp"
 #include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/fault_injector.hpp"
 #include "repro/sim/system.hpp"
