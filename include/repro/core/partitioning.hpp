@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "repro/core/perf_model.hpp"
@@ -35,6 +36,12 @@ struct PartitionResult {
 std::vector<ProcessPrediction> predict_partitioned(
     const std::vector<FeatureVector>& processes,
     const std::vector<std::uint32_t>& quotas);
+
+/// The same operating points, written into `out` (one slot per
+/// process) instead of a fresh vector.
+void predict_partitioned(std::span<const FeatureVector> processes,
+                         std::span<const std::uint32_t> quotas,
+                         std::span<ProcessPrediction> out);
 
 /// Optimal integer allocation of `ways` ways (each process gets ≥ 1)
 /// under the given objective, by DP over (process prefix, ways used).

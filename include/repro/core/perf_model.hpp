@@ -61,6 +61,10 @@ struct FeatureVector {
   /// Exact no-op when hz equals the fit frequency, so rescaling a
   /// profile to its own clock is bit-identical to not touching it.
   FeatureVector at_frequency(Hertz hz) const;
+  /// In-place form of at_frequency, with the same arithmetic: a
+  /// caller that already holds a copy rescales it without building
+  /// another.
+  void rescale_to(Hertz hz);
   void validate() const;
 };
 
@@ -141,21 +145,31 @@ class EquilibriumSolver {
       const std::vector<FeatureVector>& processes,
       const SolveOptions& options = {}) const;
 
+  /// The same solve, writing the k operating points into `out`
+  /// (out.size() == processes.size()) instead of a fresh vector. With
+  /// memoized fill curves (options.fill) and the bisection method it
+  /// allocates nothing, which is what lets ModelEngine price a die
+  /// from reused per-thread buffers.
+  void solve(std::span<const FeatureVector> processes,
+             const SolveOptions& options,
+             std::span<ProcessPrediction> out) const;
+
   std::uint32_t ways() const { return ways_; }
 
  private:
   std::vector<math::PiecewiseLinear> fill_curves(
-      const std::vector<FeatureVector>& processes) const;
-  std::vector<ProcessPrediction> solve_bisection(
-      const std::vector<FeatureVector>& processes,
-      const std::vector<double>& cpu_share,
-      std::span<const math::PiecewiseLinear* const> fill,
-      std::span<const double> warm_start, SolveStats* stats) const;
-  std::vector<ProcessPrediction> solve_newton_impl(
-      const std::vector<FeatureVector>& processes,
-      const std::vector<double>& cpu_share,
-      std::span<const math::PiecewiseLinear* const> fill,
-      std::span<const double> warm_start, SolveStats* stats) const;
+      std::span<const FeatureVector> processes) const;
+  void solve_bisection(std::span<const FeatureVector> processes,
+                       std::span<const double> cpu_share,
+                       std::span<const math::PiecewiseLinear* const> fill,
+                       std::span<const double> warm_start, SolveStats* stats,
+                       std::span<ProcessPrediction> out) const;
+  void solve_newton_impl(std::span<const FeatureVector> processes,
+                         std::span<const double> cpu_share,
+                         std::span<const math::PiecewiseLinear* const> fill,
+                         std::span<const double> warm_start,
+                         SolveStats* stats,
+                         std::span<ProcessPrediction> out) const;
   ProcessPrediction predict_at(const FeatureVector& fv, Ways s) const;
 
   std::uint32_t ways_;

@@ -9,13 +9,12 @@
 // prediction — and evaluates candidates serially.
 //
 // ModelEngine owns a registry of profiled processes, memoizes each
-// process's derived artifacts (the fill curve G⁻¹, its inverse
-// tabulation G, and the MPA curve) per registration, and exposes a
-// batch API that fans candidate co-schedules out across a small
-// work-stealing thread pool. Per-candidate results are bit-identical
-// to the direct single-threaded EquilibriumSolver + PowerModel
-// composition, independent of thread count — candidates are pure
-// functions of the registered profiles.
+// process's derived artifact (the fill curve G⁻¹) per registration,
+// and exposes a batch API that fans candidate co-schedules out across
+// a small work-stealing thread pool. Per-candidate results are
+// bit-identical to the direct single-threaded EquilibriumSolver +
+// PowerModel composition, independent of thread count — candidates
+// are pure functions of the registered profiles.
 //
 // Concurrency model: engine state is published as immutable
 // RCU-style *epoch snapshots*. snapshot() hands back a
@@ -240,8 +239,7 @@ class EngineSnapshot {
   /// shared between consecutive snapshots, by every epoch that kept
   /// the registration unchanged.
   struct Artifacts {
-    math::PiecewiseLinear fill;    // G⁻¹: occupancy S → accesses n
-    math::PiecewiseLinear growth;  // G: accesses n → occupancy S
+    math::PiecewiseLinear fill;  // G⁻¹: occupancy S → accesses n
   };
   struct Entry {
     explicit Entry(core::ProcessProfile p) : profile(std::move(p)) {}

@@ -42,17 +42,22 @@ double utility(const FeatureVector& fv, std::uint32_t s, std::uint32_t ways,
 std::vector<ProcessPrediction> predict_partitioned(
     const std::vector<FeatureVector>& processes,
     const std::vector<std::uint32_t>& quotas) {
+  std::vector<ProcessPrediction> out(processes.size());
+  predict_partitioned(processes, quotas, out);
+  return out;
+}
+
+void predict_partitioned(std::span<const FeatureVector> processes,
+                         std::span<const std::uint32_t> quotas,
+                         std::span<ProcessPrediction> out) {
   REPRO_ENSURE(!processes.empty(), "no processes");
   REPRO_ENSURE(quotas.size() == processes.size(), "quota count mismatch");
-  std::vector<ProcessPrediction> out;
-  out.reserve(processes.size());
+  REPRO_ENSURE(out.size() == processes.size(), "one output slot per process");
   for (std::size_t i = 0; i < processes.size(); ++i) {
     processes[i].validate();
     REPRO_ENSURE(quotas[i] >= 1, "every process needs at least one way");
-    out.push_back(
-        predict_at_ways(processes[i], static_cast<double>(quotas[i])));
+    out[i] = predict_at_ways(processes[i], static_cast<double>(quotas[i]));
   }
-  return out;
 }
 
 PartitionResult optimal_partition(

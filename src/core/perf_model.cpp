@@ -10,17 +10,21 @@ namespace repro::core {
 void FeatureVector::validate() const {
   // Carry the process identity: a bad histogram or SPI law otherwise
   // only surfaces deep inside a fill-curve integral with no hint of
-  // which of the co-scheduled processes is broken.
-  const std::string who =
-      name.empty() ? std::string("feature vector") : "process '" + name + "'";
+  // which of the co-scheduled processes is broken. Every solve
+  // validates its processes, so the message is built only on failure.
+  const auto who = [this] {
+    return name.empty() ? std::string("feature vector")
+                        : "process '" + name + "'";
+  };
   REPRO_ENSURE(std::isfinite(api) && std::isfinite(alpha) &&
                    std::isfinite(beta),
-               who + ": API/alpha/beta must be finite");
-  REPRO_ENSURE(api > 0.0, who + ": API must be positive");
-  REPRO_ENSURE(beta > 0.0, who + ": beta (zero-miss SPI) must be positive");
-  REPRO_ENSURE(alpha > -beta, who + ": SPI law must stay positive on [0, 1]");
+               who() + ": API/alpha/beta must be finite");
+  REPRO_ENSURE(api > 0.0, who() + ": API must be positive");
+  REPRO_ENSURE(beta > 0.0, who() + ": beta (zero-miss SPI) must be positive");
+  REPRO_ENSURE(alpha > -beta,
+               who() + ": SPI law must stay positive on [0, 1]");
   REPRO_ENSURE(std::isfinite(fit_frequency) && fit_frequency >= 0.0,
-               who + ": fit frequency must be finite and nonnegative");
+               who() + ": fit frequency must be finite and nonnegative");
 }
 
 Spi FeatureVector::spi_at(Mpa mpa, Hertz hz) const {
@@ -43,16 +47,20 @@ double FeatureVector::beta_cycles() const {
 }
 
 FeatureVector FeatureVector::at_frequency(Hertz hz) const {
+  FeatureVector out = *this;
+  out.rescale_to(hz);
+  return out;
+}
+
+void FeatureVector::rescale_to(Hertz hz) {
   REPRO_ENSURE(hz > 0.0, "target frequency must be positive");
-  if (hz == fit_frequency) return *this;  // exact: no scale, no drift
+  if (hz == fit_frequency) return;  // exact: no scale, no drift
   REPRO_ENSURE(fit_frequency > 0.0,
                "cannot rescale a feature vector of unknown fit frequency");
-  FeatureVector out = *this;
   const double scale = fit_frequency / hz;
-  out.alpha = alpha * scale;
-  out.beta = beta * scale;
-  out.fit_frequency = hz;
-  return out;
+  alpha *= scale;
+  beta *= scale;
+  fit_frequency = hz;
 }
 
 EquilibriumSolver::EquilibriumSolver(std::uint32_t ways,
@@ -65,7 +73,7 @@ EquilibriumSolver::EquilibriumSolver(std::uint32_t ways,
 }
 
 std::vector<math::PiecewiseLinear> EquilibriumSolver::fill_curves(
-    const std::vector<FeatureVector>& processes) const {
+    std::span<const FeatureVector> processes) const {
   std::vector<math::PiecewiseLinear> curves;
   curves.reserve(processes.size());
   for (const FeatureVector& fv : processes)
@@ -87,16 +95,21 @@ ProcessPrediction EquilibriumSolver::predict_at(const FeatureVector& fv,
 std::vector<ProcessPrediction> EquilibriumSolver::solve(
     const std::vector<FeatureVector>& processes,
     const SolveOptions& options) const {
+  std::vector<ProcessPrediction> out(processes.size());
+  solve(processes, options, out);
+  return out;
+}
+
+void EquilibriumSolver::solve(std::span<const FeatureVector> processes,
+                              const SolveOptions& options,
+                              std::span<ProcessPrediction> out) const {
   const std::size_t k = processes.size();
   REPRO_ENSURE(k >= 1, "need at least one process");
-  std::vector<double> unit_shares;
-  const std::vector<double>* share_ptr = &options.cpu_share;
-  if (options.cpu_share.empty()) {
-    unit_shares.assign(k, 1.0);
-    share_ptr = &unit_shares;
-  }
-  const std::vector<double>& cpu_share = *share_ptr;
-  REPRO_ENSURE(cpu_share.size() == k, "one share per process");
+  REPRO_ENSURE(out.size() == k, "one output slot per process");
+  // Empty = all ones; the solvers read a missing share as 1.0.
+  const std::span<const double> cpu_share = options.cpu_share;
+  REPRO_ENSURE(cpu_share.empty() || cpu_share.size() == k,
+               "one share per process");
   for (double w : cpu_share)
     REPRO_ENSURE(w > 0.0 && w <= 1.0, "shares must be in (0, 1]");
   for (const FeatureVector& fv : processes) fv.validate();
@@ -116,7 +129,10 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve(
   }
   if (options.stats != nullptr) *options.stats = SolveStats{};
 
-  if (k == 1) return {predict_at(processes[0], static_cast<double>(ways_))};
+  if (k == 1) {
+    out[0] = predict_at(processes[0], static_cast<double>(ways_));
+    return;
+  }
 
   // Materialize curves only when the caller did not memoize them.
   std::vector<math::PiecewiseLinear> own_fill;
@@ -130,18 +146,20 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve(
     fill = own_ptrs;
   }
 
-  return options.method == SolveOptions::Method::kNewton
-             ? solve_newton_impl(processes, cpu_share, fill, warm_start,
-                                 options.stats)
-             : solve_bisection(processes, cpu_share, fill, warm_start,
-                               options.stats);
+  if (options.method == SolveOptions::Method::kNewton)
+    solve_newton_impl(processes, cpu_share, fill, warm_start, options.stats,
+                      out);
+  else
+    solve_bisection(processes, cpu_share, fill, warm_start, options.stats,
+                    out);
 }
 
-std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
-    const std::vector<FeatureVector>& processes,
-    const std::vector<double>& cpu_share,
+void EquilibriumSolver::solve_bisection(
+    std::span<const FeatureVector> processes,
+    std::span<const double> cpu_share,
     std::span<const math::PiecewiseLinear* const> fill,
-    std::span<const double> warm_start, SolveStats* stats) const {
+    std::span<const double> warm_start, SolveStats* stats,
+    std::span<ProcessPrediction> out) const {
   const std::size_t k = processes.size();
   const double a = static_cast<double>(ways_);
   REPRO_ENSURE(options_.min_ways * static_cast<double>(k) < a,
@@ -152,23 +170,33 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
   // fill rate over wall time scales by its CPU share.
   auto aps_at = [&](std::size_t i, double s) {
     const Mpa mpa = processes[i].histogram.mpa(s);
-    return cpu_share[i] * processes[i].api / processes[i].spi_at(mpa);
+    const double share = cpu_share.empty() ? 1.0 : cpu_share[i];
+    return share * processes[i].api / processes[i].spi_at(mpa);
   };
 
   // S_i(τ): the unique bracketed root of g_i(S) = APS_i(S)·τ in
-  // [min_ways, A], saturating at either end.
+  // [min_ways, A], saturating at either end. The endpoint values that
+  // decide saturation also seed the bracket.
   auto size_at = [&](std::size_t i, double tau) {
     auto h = [&](double s) { return (*fill[i])(s) - tau * aps_at(i, s); };
     const double lo = options_.min_ways;
-    if (h(lo) >= 0.0) return lo;   // even the floor fills slower than τ
-    if (h(a) <= 0.0) return a;     // still filling at full associativity
-    return math::solve_bracketed(h, lo, a, 1e-10);
+    const double h_lo = h(lo);
+    if (h_lo >= 0.0) return lo;  // even the floor fills slower than τ
+    const double h_a = h(a);
+    if (h_a <= 0.0) return a;    // still filling at full associativity
+    return math::solve_bracketed(h, math::Bracket{lo, a, h_lo, h_a}, 1e-10);
   };
 
-  auto excess = [&](double tau) {
+  // Σ S_i(τ), leaving each S_i in out[i].effective_size: the sizes of
+  // the last horizon evaluated are the answer, so they are kept rather
+  // than solved for again.
+  auto total_at = [&](double tau) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < k; ++i) sum += size_at(i, tau);
-    return sum - a;
+    for (std::size_t i = 0; i < k; ++i) {
+      out[i].effective_size = size_at(i, tau);
+      sum += out[i].effective_size;
+    }
+    return sum;
   };
 
   // Bracket the horizon τ: excess(0) = k·min − A < 0; for large τ all
@@ -187,48 +215,47 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
     tau_hi = std::max(tau_sum / static_cast<double>(k), 1e-12);
   }
   int guard = 0;
-  while (excess(tau_hi) < 0.0) {
+  while (total_at(tau_hi) - a < 0.0) {
     tau_lo = tau_hi;
     tau_hi *= 4.0;
     ++iterations;
     REPRO_ENSURE(++guard < 200, "equilibrium horizon failed to bracket");
   }
+  // Each step's convergence check evaluates the midpoint of the
+  // narrowed bracket, which is exactly the next step's midpoint (and,
+  // on exit, the answer τ), so every midpoint is evaluated once.
+  double tau = 0.5 * (tau_lo + tau_hi);
+  double total = total_at(tau);
   for (int it = 0; it < 200; ++it) {
-    const double mid = 0.5 * (tau_lo + tau_hi);
-    if (excess(mid) < 0.0)
-      tau_lo = mid;
+    if (total - a < 0.0)
+      tau_lo = tau;
     else
-      tau_hi = mid;
+      tau_hi = tau;
     ++iterations;
-    if (std::fabs(excess(0.5 * (tau_lo + tau_hi))) < options_.tolerance)
-      break;
+    tau = 0.5 * (tau_lo + tau_hi);
+    total = total_at(tau);
+    if (std::fabs(total - a) < options_.tolerance) break;
   }
-  const double tau = 0.5 * (tau_lo + tau_hi);
   if (stats != nullptr) stats->iterations = iterations;
 
   // Renormalize the solution onto the Σ S_i = A simplex (the bisection
   // leaves a residual below tolerance; scaling keeps Eq. 1 exact).
-  std::vector<double> sizes(k);
-  double total = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    sizes[i] = size_at(i, tau);
-    total += sizes[i];
-  }
   REPRO_ENSURE(total > 0.0, "degenerate equilibrium");
-  std::vector<ProcessPrediction> out;
-  out.reserve(k);
   for (std::size_t i = 0; i < k; ++i)
-    out.push_back(predict_at(processes[i], sizes[i] * a / total));
-  return out;
+    out[i] = predict_at(processes[i], out[i].effective_size * a / total);
 }
 
-std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
-    const std::vector<FeatureVector>& processes,
-    const std::vector<double>& cpu_share,
+void EquilibriumSolver::solve_newton_impl(
+    std::span<const FeatureVector> processes,
+    std::span<const double> cpu_share,
     std::span<const math::PiecewiseLinear* const> fill,
-    std::span<const double> warm_start, SolveStats* stats) const {
+    std::span<const double> warm_start, SolveStats* stats,
+    std::span<ProcessPrediction> out) const {
   const std::size_t k = processes.size();
   const double a = static_cast<double>(ways_);
+  const auto share = [&](std::size_t i) {
+    return cpu_share.empty() ? 1.0 : cpu_share[i];
+  };
 
   auto spi_at_size = [&](std::size_t i, double s) {
     return processes[i].spi_at(processes[i].histogram.mpa(s));
@@ -243,9 +270,9 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
     for (double v : s) sum += v;
     f[0] = (sum - a) / a;
     for (std::size_t i = 1; i < k; ++i) {
-      const double lhs = (*fill[0])(s[0]) * cpu_share[i] * processes[i].api *
+      const double lhs = (*fill[0])(s[0]) * share(i) * processes[i].api *
                          spi_at_size(0, s[0]);
-      const double rhs = (*fill[i])(s[i]) * cpu_share[0] * processes[0].api *
+      const double rhs = (*fill[i])(s[i]) * share(0) * processes[0].api *
                          spi_at_size(i, s[i]);
       const double scale = 0.5 * (std::fabs(lhs) + std::fabs(rhs)) + 1e-300;
       f[i] = (lhs - rhs) / scale;
@@ -283,12 +310,8 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
   }
   REPRO_ENSURE(res.converged, "Newton equilibrium failed to converge");
   if (stats != nullptr) stats->iterations = res.iterations;
-
-  std::vector<ProcessPrediction> out;
-  out.reserve(k);
   for (std::size_t i = 0; i < k; ++i)
-    out.push_back(predict_at(processes[i], res.x[i]));
-  return out;
+    out[i] = predict_at(processes[i], res.x[i]);
 }
 
 }  // namespace repro::core

@@ -135,7 +135,7 @@ void ModelEngine::install(ProcessHandle handle, core::ProcessProfile profile) {
     by_name_.emplace(profile.name, handle);
   }
   // Fresh Entry = fresh once_flag: the next prediction that touches
-  // this handle rebuilds the fill/growth curves from the new revision.
+  // this handle rebuilds the fill curve from the new revision.
   registry_[handle] = std::make_shared<Entry>(std::move(profile));
   // relaxed: monitoring counter; no reader orders state off it.
   cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -292,16 +292,9 @@ const ModelEngine::Artifacts& ModelEngine::artifacts_of(
     const Entry& entry) const {
   bool built_now = false;
   std::call_once(entry.once, [&] {
-    Artifacts a;
-    a.fill = core::fill_curve(entry.profile.features.histogram,
-                              machine_.l2.ways,
-                              options_.equilibrium.mpa_floor);
-    // The fill curve is strictly increasing (each Δn = ΔS / MPA(S) is
-    // positive), so swapping the axes tabulates G = (G⁻¹)⁻¹.
-    a.growth = math::PiecewiseLinear(
-        std::vector<double>(a.fill.ys().begin(), a.fill.ys().end()),
-        std::vector<double>(a.fill.xs().begin(), a.fill.xs().end()));
-    entry.artifacts = std::move(a);
+    entry.artifacts.fill = core::fill_curve(entry.profile.features.histogram,
+                                            machine_.l2.ways,
+                                            options_.equilibrium.mpa_floor);
     built_now = true;
   });
   // The artifact itself is published by the call_once above, not by
@@ -310,6 +303,34 @@ const ModelEngine::Artifacts& ModelEngine::artifacts_of(
       .fetch_add(1, std::memory_order_relaxed);  // relaxed: tally only
   return entry.artifacts;
 }
+
+namespace {
+
+/// One scheduled process of the die being priced.
+struct Slot {
+  ProcessHandle handle;
+  CoreId core;
+};
+
+/// predict_on's gather buffers, one set per thread and reused across
+/// calls: clear() keeps a vector's capacity, and copy-assigning a
+/// FeatureVector into a kept slot reuses its histogram and name
+/// storage, so once a thread has priced its largest die the per-die
+/// loop allocates nothing. `features` only grows; its first n entries
+/// are the die's processes.
+struct DieScratch {
+  std::vector<std::size_t> slot_offset;
+  std::vector<Slot> slots;
+  std::vector<core::FeatureVector> features;
+  std::vector<const math::PiecewiseLinear*> fill;
+  std::vector<double> seeds;
+  std::vector<core::ProcessPrediction> eq;
+  core::SolveOptions solve;  // solve.cpu_share holds the die's shares
+};
+
+thread_local DieScratch t_scratch;
+
+}  // namespace
 
 SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
                                          const CoScheduleQuery& query) const {
@@ -332,13 +353,15 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
     return query.core_frequency.empty() ? machine_.frequency_of(c)
                                         : query.core_frequency[c];
   };
+  DieScratch& s = t_scratch;
 
   // Global (core, slot) position of each core's first process, so a
   // die's warm-start seeds can be sliced out of the flat vector even
   // when the machine maps cores to dies non-contiguously.
-  std::vector<std::size_t> slot_offset(machine_.cores + 1, 0);
+  s.slot_offset.assign(machine_.cores + 1, 0);
   for (CoreId c = 0; c < machine_.cores; ++c)
-    slot_offset[c + 1] = slot_offset[c] + query.assignment.per_core[c].size();
+    s.slot_offset[c + 1] =
+        s.slot_offset[c] + query.assignment.per_core[c].size();
 
   const bool has_power = snapshot.power_.has_value();
   SystemPrediction out;
@@ -351,90 +374,91 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
   for (DieId die = 0; die < machine_.dies; ++die) {
     // Gather the die's processes in (core, slot) order, with the CPU
     // share of their run queue and their memoized fill curves.
-    struct Slot {
-      ProcessHandle handle;
-      CoreId core;
-    };
-    std::vector<Slot> slots;
-    std::vector<core::FeatureVector> features;
-    std::vector<double> shares;
-    std::vector<const math::PiecewiseLinear*> fill;
-    std::vector<double> seeds;
-    for (CoreId c : machine_.cores_on_die(die)) {
+    s.slots.clear();
+    s.fill.clear();
+    s.seeds.clear();
+    s.solve.cpu_share.clear();
+    for (CoreId c = 0; c < machine_.cores; ++c) {
+      if (machine_.core_to_die[c] != die) continue;
       const std::size_t q = query.assignment.per_core[c].size();
       for (std::size_t slot = 0; slot < q; ++slot) {
         const std::size_t idx = query.assignment.per_core[c][slot];
         const Entry& entry =
             snapshot.entry_of(static_cast<ProcessHandle>(idx));
-        slots.push_back({static_cast<ProcessHandle>(idx), c});
+        if (s.slots.size() == s.features.size()) s.features.emplace_back();
         // Rescale Eq. 3 to the core's clock on the per-query copy; the
-        // memoized fill/growth artifacts stay valid because they are
+        // memoized fill artifacts stay valid because they are
         // functions of the histogram only, which is frequency-free.
-        // at_frequency is an exact no-op at the profile's own clock,
-        // and a legacy profile (fit_frequency 0) is used as-is — both
-        // keep the pre-frequency-aware results bit-identical.
-        const core::FeatureVector& fv = entry.profile.features;
-        const Hertz clock = clock_of(c);
-        features.push_back(fv.fit_frequency > 0.0 ? fv.at_frequency(clock)
-                                                  : fv);
-        shares.push_back(1.0 / static_cast<double>(q));
-        fill.push_back(&artifacts_of(entry).fill);
+        // rescale_to is an exact no-op at the profile's own clock, and
+        // a legacy profile (fit_frequency 0) is used as-is — both keep
+        // the pre-frequency-aware results bit-identical.
+        core::FeatureVector& fv = s.features[s.slots.size()];
+        fv = entry.profile.features;
+        if (fv.fit_frequency > 0.0) fv.rescale_to(clock_of(c));
+        s.slots.push_back({static_cast<ProcessHandle>(idx), c});
+        s.solve.cpu_share.push_back(1.0 / static_cast<double>(q));
+        s.fill.push_back(&artifacts_of(entry).fill);
         if (!query.warm_start.empty())
-          seeds.push_back(query.warm_start[slot_offset[c] + slot]);
+          s.seeds.push_back(query.warm_start[s.slot_offset[c] + slot]);
       }
     }
-    if (slots.empty()) continue;
+    const std::size_t n = s.slots.size();
+    if (n == 0) continue;
+    const std::span<const core::FeatureVector> features(s.features.data(),
+                                                        n);
+    if (s.eq.size() < n) s.eq.resize(n);
+    const std::span<core::ProcessPrediction> eq(s.eq.data(), n);
 
-    std::vector<core::ProcessPrediction> eq;
     const bool partitioned =
         !query.partition.empty() && !query.partition[die].empty();
     if (partitioned) {
       const std::vector<std::uint32_t>& quotas = query.partition[die];
-      REPRO_ENSURE(quotas.size() == slots.size(),
+      REPRO_ENSURE(quotas.size() == n,
                    "one way quota per process on the die");
       std::uint32_t claimed = 0;
       for (std::uint32_t w : quotas) claimed += w;
       REPRO_ENSURE(claimed <= machine_.l2.ways,
                    "partition exceeds the cache ways");
-      eq = core::predict_partitioned(features, quotas);
+      core::predict_partitioned(features, quotas, eq);
     } else {
-      core::SolveOptions solve_options;
+      core::SolveOptions& solve_options = s.solve;
       solve_options.method = options_.method;
-      solve_options.cpu_share = shares;
-      solve_options.fill = fill;
-      solve_options.warm_start = seeds;  // empty = cold, bit-identical
+      solve_options.fill = s.fill;
+      solve_options.warm_start = s.seeds;  // empty = cold, bit-identical
       core::SolveStats stats;
       solve_options.stats = &stats;
       if (options_.method == core::SolveOptions::Method::kNewton) {
         try {
-          eq = solver_.solve(features, solve_options);
+          solver_.solve(features, solve_options, eq);
         } catch (const Error&) {
           // Newton stalls on nearly-flat MPA curves — the reason
           // bisection is the repo-wide default. A Newton-mode engine
           // (chosen for cheap warm-started re-solves) falls back to
           // the robust method instead of failing the query.
           solve_options.method = core::SolveOptions::Method::kBisection;
-          eq = solver_.solve(features, solve_options);
+          solver_.solve(features, solve_options, eq);
         }
       } else {
-        eq = solver_.solve(features, solve_options);
+        solver_.solve(features, solve_options, eq);
       }
+      solve_options.stats = nullptr;
       out.solver_iterations += stats.iterations;
     }
 
     // Assemble §4/§5: core power is the time average over the run
     // queue; the package total adds each busy core's dynamic power.
     std::size_t cursor = 0;
-    for (CoreId c : machine_.cores_on_die(die)) {
+    for (CoreId c = 0; c < machine_.cores; ++c) {
+      if (machine_.core_to_die[c] != die) continue;
       const std::size_t q = query.assignment.per_core[c].size();
       if (q == 0) continue;
       Watts dyn = 0.0;
       double ips = 0.0;
       for (std::size_t slot = 0; slot < q; ++slot, ++cursor) {
         ProcessOperatingPoint point;
-        point.handle = slots[cursor].handle;
+        point.handle = s.slots[cursor].handle;
         point.core = c;
-        point.cpu_share = shares[cursor];
+        point.cpu_share = s.solve.cpu_share[cursor];
         point.prediction = eq[cursor];
         if (has_power)
           point.dynamic_power = core::process_dynamic_power(
@@ -442,7 +466,7 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
               eq[cursor].spi, eq[cursor].mpa);
         dyn += point.dynamic_power;
         ips += 1.0 / eq[cursor].spi;
-        out.processes.push_back(std::move(point));
+        out.processes.push_back(point);
       }
       const double avg_dyn = dyn / static_cast<double>(q);
       if (has_power) {

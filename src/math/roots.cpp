@@ -8,43 +8,6 @@
 
 namespace repro::math {
 
-double solve_bracketed(const std::function<double(double)>& f, double lo,
-                       double hi, double x_tol, int max_iter) {
-  REPRO_ENSURE(lo <= hi, "invalid bracket");
-  double f_lo = f(lo);
-  double f_hi = f(hi);
-  if (f_lo == 0.0) return lo;
-  if (f_hi == 0.0) return hi;
-  REPRO_ENSURE(std::signbit(f_lo) != std::signbit(f_hi),
-               "solve_bracketed requires a sign change");
-
-  double mid = 0.5 * (lo + hi);
-  for (int it = 0; it < max_iter && (hi - lo) > x_tol; ++it) {
-    // Secant proposal, accepted only if it lands strictly inside.
-    double prop = mid;
-    const double denom = f_hi - f_lo;
-    if (denom != 0.0) {
-      prop = lo - f_lo * (hi - lo) / denom;
-      const double margin = 0.01 * (hi - lo);
-      if (!(prop > lo + margin && prop < hi - margin))
-        prop = 0.5 * (lo + hi);
-    } else {
-      prop = 0.5 * (lo + hi);
-    }
-    const double f_prop = f(prop);
-    if (f_prop == 0.0) return prop;
-    if (std::signbit(f_prop) == std::signbit(f_lo)) {
-      lo = prop;
-      f_lo = f_prop;
-    } else {
-      hi = prop;
-      f_hi = f_prop;
-    }
-    mid = 0.5 * (lo + hi);
-  }
-  return mid;
-}
-
 namespace {
 
 double inf_norm(const std::vector<double>& v) {
